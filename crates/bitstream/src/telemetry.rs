@@ -5,26 +5,32 @@
 //! sub-band's packer). The default bundle is a no-op, so architecture models
 //! embed it unconditionally and the hot encode path stays allocation-free
 //! when telemetry is disabled.
+//!
+//! Records accumulate in plain fields owned by the bundle and reach the
+//! shared registry on [`CodecTelemetry::flush`] — once per frame — or when
+//! the bundle drops, so codecs on different threads sharing one registry
+//! never contend on its atomics per column.
 
 use crate::{EncodedColumn, NBITS_FIELD_BITS};
-use sw_telemetry::{Counter, Histogram, TelemetryHandle};
+use sw_telemetry::{LocalCounter, LocalHistogram, TelemetryHandle};
 
 /// Inclusive bucket bounds for the NBits distribution: one bucket per legal
 /// coefficient width (the 4-bit management field covers 1..=16).
 pub const NBITS_BOUNDS: [u64; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16];
 
-/// Instruments describing what one column codec packed and unpacked.
+/// Instruments describing what one column codec packed and unpacked. A
+/// clone starts empty.
 #[derive(Debug, Clone, Default)]
 pub struct CodecTelemetry {
-    columns: Counter,
-    payload_bits: Counter,
-    payload_bytes: Counter,
-    mgmt_bits: Counter,
-    significant: Counter,
-    coefficients: Counter,
-    nbits: Histogram,
-    decoded_columns: Counter,
-    decoded_bits: Counter,
+    columns: LocalCounter,
+    payload_bits: LocalCounter,
+    payload_bytes: LocalCounter,
+    mgmt_bits: LocalCounter,
+    significant: LocalCounter,
+    coefficients: LocalCounter,
+    nbits: LocalHistogram,
+    decoded_columns: LocalCounter,
+    decoded_bits: LocalCounter,
 }
 
 impl CodecTelemetry {
@@ -43,22 +49,26 @@ impl CodecTelemetry {
     /// * `<prefix>.packer.nbits` — histogram of column widths (1..=16)
     /// * `<prefix>.unpacker.columns` / `.bits` — decode traffic
     pub fn attach(telemetry: &TelemetryHandle, prefix: &str) -> Self {
+        let counter =
+            |name: &str| LocalCounter::new(telemetry.counter(&format!("{prefix}.{name}")));
         Self {
-            columns: telemetry.counter(&format!("{prefix}.packer.columns")),
-            payload_bits: telemetry.counter(&format!("{prefix}.packer.payload_bits")),
-            payload_bytes: telemetry.counter(&format!("{prefix}.packer.payload_bytes")),
-            mgmt_bits: telemetry.counter(&format!("{prefix}.packer.mgmt_bits")),
-            significant: telemetry.counter(&format!("{prefix}.packer.significant")),
-            coefficients: telemetry.counter(&format!("{prefix}.packer.coefficients")),
-            nbits: telemetry.histogram(&format!("{prefix}.packer.nbits"), &NBITS_BOUNDS),
-            decoded_columns: telemetry.counter(&format!("{prefix}.unpacker.columns")),
-            decoded_bits: telemetry.counter(&format!("{prefix}.unpacker.bits")),
+            columns: counter("packer.columns"),
+            payload_bits: counter("packer.payload_bits"),
+            payload_bytes: counter("packer.payload_bytes"),
+            mgmt_bits: counter("packer.mgmt_bits"),
+            significant: counter("packer.significant"),
+            coefficients: counter("packer.coefficients"),
+            nbits: LocalHistogram::new(
+                telemetry.histogram(&format!("{prefix}.packer.nbits"), &NBITS_BOUNDS),
+            ),
+            decoded_columns: counter("unpacker.columns"),
+            decoded_bits: counter("unpacker.bits"),
         }
     }
 
     /// Record one encoded column.
     #[inline]
-    pub fn record_encoded(&self, col: &EncodedColumn) {
+    pub fn record_encoded(&mut self, col: &EncodedColumn) {
         self.columns.inc();
         self.payload_bits.add(col.payload_bits);
         self.payload_bytes.add(col.payload.len() as u64);
@@ -71,9 +81,26 @@ impl CodecTelemetry {
 
     /// Record one decoded column.
     #[inline]
-    pub fn record_decoded(&self, col: &EncodedColumn) {
+    pub fn record_decoded(&mut self, col: &EncodedColumn) {
         self.decoded_columns.inc();
         self.decoded_bits.add(col.total_bits());
+    }
+
+    /// Publish everything recorded since the last flush to the registry.
+    pub fn flush(&mut self) {
+        for c in [
+            &mut self.columns,
+            &mut self.payload_bits,
+            &mut self.payload_bytes,
+            &mut self.mgmt_bits,
+            &mut self.significant,
+            &mut self.coefficients,
+            &mut self.decoded_columns,
+            &mut self.decoded_bits,
+        ] {
+            c.flush();
+        }
+        self.nbits.flush();
     }
 }
 
@@ -84,7 +111,7 @@ mod tests {
 
     #[test]
     fn noop_bundle_records_nothing() {
-        let tele = CodecTelemetry::noop();
+        let mut tele = CodecTelemetry::noop();
         tele.record_encoded(&encode_column(&[1, 2, 3, 4], 0));
         // No registry backs the bundle; nothing to assert beyond "no panic".
     }
@@ -92,11 +119,12 @@ mod tests {
     #[test]
     fn encoded_columns_feed_every_series() {
         let t = TelemetryHandle::new();
-        let tele = CodecTelemetry::attach(&t, "band.hl");
+        let mut tele = CodecTelemetry::attach(&t, "band.hl");
         // Figure 2 HL column: width 5, all 4 coefficients significant.
         let col = encode_column(&[13, 12, -9, 7], 0);
         tele.record_encoded(&col);
         tele.record_decoded(&col);
+        tele.flush();
 
         let r = t.report();
         assert_eq!(r.counters["band.hl.packer.columns"], 1);
@@ -118,8 +146,9 @@ mod tests {
     #[test]
     fn thresholded_column_reports_reduced_density() {
         let t = TelemetryHandle::new();
-        let tele = CodecTelemetry::attach(&t, "c");
+        let mut tele = CodecTelemetry::attach(&t, "c");
         tele.record_encoded(&encode_column(&[13, 3, -2, 7], 8));
+        tele.flush();
         let r = t.report();
         assert_eq!(r.counters["c.packer.significant"], 1);
         assert_eq!(r.counters["c.packer.coefficients"], 4);

@@ -49,7 +49,10 @@ use std::time::Instant;
 use sw_bitstream::Sample;
 use sw_fpga::sim::Watermark;
 use sw_image::ImageU8;
-use sw_telemetry::{Counter, Gauge, Histogram, TelemetryHandle, TraceEvent, TraceKind};
+use sw_telemetry::{
+    Counter, Gauge, LocalCounter, LocalGauge, LocalHistogram, TelemetryHandle, TraceEvent,
+    TraceKind,
+};
 
 /// Inclusive histogram bounds splitting `[1, max]` into eighths
 /// (deduplicated for tiny ranges). Shared shape for occupancy histograms.
@@ -297,20 +300,22 @@ pub struct SlidingWindow<C: LineCodec> {
     stream: Option<StreamFrame>,
     /// Per-frame wall-time accumulators for the hierarchical profiler
     /// (encode/decode aggregates flushed once per frame, so the per-group
-    /// hot path costs two `Instant::now` reads when telemetry is enabled
-    /// and nothing when it is disabled).
+    /// hot path costs two `Instant::now` reads when a span profiler is
+    /// bound and nothing otherwise).
     prof: FrameProf,
     // --- telemetry (no-ops unless a telemetry handle was bound) ---
+    // Per-group instruments are frame-local: published by
+    // `flush_telemetry` at every frame end and boundary, and on drop.
     telemetry: TelemetryHandle,
     bound_name: Option<String>,
     m_cycles: Counter,
     m_window_shifts: Counter,
-    m_iwt_pairs: Counter,
-    m_unpack_pairs: Counter,
-    m_overflow: Counter,
+    m_iwt_pairs: LocalCounter,
+    m_unpack_pairs: LocalCounter,
+    m_overflow: LocalCounter,
     m_threshold: Gauge,
-    occ_hist: Histogram,
-    occ_gauge: Gauge,
+    occ_hist: LocalHistogram,
+    occ_gauge: LocalGauge,
 }
 
 impl<C: LineCodec> std::fmt::Debug for SlidingWindow<C> {
@@ -414,12 +419,12 @@ impl<C: LineCodec> SlidingWindow<C> {
             bound_name: None,
             m_cycles: Counter::noop(),
             m_window_shifts: Counter::noop(),
-            m_iwt_pairs: Counter::noop(),
-            m_unpack_pairs: Counter::noop(),
-            m_overflow: Counter::noop(),
+            m_iwt_pairs: LocalCounter::default(),
+            m_unpack_pairs: LocalCounter::default(),
+            m_overflow: LocalCounter::default(),
             m_threshold: Gauge::noop(),
-            occ_hist: Histogram::noop(),
-            occ_gauge: Gauge::noop(),
+            occ_hist: LocalHistogram::default(),
+            occ_gauge: LocalGauge::default(),
         }
     }
 
@@ -483,17 +488,20 @@ impl<C: LineCodec> SlidingWindow<C> {
         self.m_cycles = telemetry.counter(&format!("stage.{name}.cycles"));
         self.m_window_shifts = telemetry.counter(&format!("stage.{name}.window_shifts"));
         if self.kind != LineCodecKind::Raw {
-            self.m_iwt_pairs = telemetry.counter(&format!("stage.{name}.iwt_pairs"));
-            self.m_unpack_pairs = telemetry.counter(&format!("stage.{name}.unpack_pairs"));
-            self.m_overflow = telemetry.counter(&format!("stage.{name}.overflow_events"));
+            let counter = |series: &str| {
+                LocalCounter::new(telemetry.counter(&format!("stage.{name}.{series}")))
+            };
+            self.m_iwt_pairs = counter("iwt_pairs");
+            self.m_unpack_pairs = counter("unpack_pairs");
+            self.m_overflow = counter("overflow_events");
             self.m_threshold = telemetry.gauge(&format!("stage.{name}.threshold"));
             self.m_threshold.set(self.cfg.threshold.max(0) as u64);
         }
-        self.occ_hist = telemetry.histogram(
+        self.occ_hist = LocalHistogram::new(telemetry.histogram(
             &format!("fifo.{name}.occupancy_bits"),
             &occupancy_bounds(self.kind.raw_span_bits(&self.cfg).max(1)),
-        );
-        self.occ_gauge = telemetry.gauge(&format!("fifo.{name}.high_water_bits"));
+        ));
+        self.occ_gauge = LocalGauge::new(telemetry.gauge(&format!("fifo.{name}.high_water_bits")));
         if self.kind != LineCodecKind::Raw {
             self.codec
                 .bind_telemetry(telemetry, &format!("stage.{name}"));
@@ -578,12 +586,7 @@ impl<C: LineCodec> SlidingWindow<C> {
         }
         self.reset();
         let w = self.cfg.width;
-        self.telemetry.trace(TraceEvent::new(
-            0,
-            TraceKind::FrameStart,
-            w as u64,
-            height as u64,
-        ));
+        self.trace(0, TraceKind::FrameStart, w as u64, height as u64);
         self.stream = Some(StreamFrame {
             height,
             rows_in: 0,
@@ -698,8 +701,8 @@ impl<C: LineCodec> SlidingWindow<C> {
         let cycle = st.cycle;
         self.m_cycles.add(cycle);
         self.m_window_shifts.add(cycle); // one shift per input pixel
-        self.telemetry
-            .trace(TraceEvent::new(cycle, TraceKind::FrameEnd, cycle, 0));
+        self.flush_telemetry();
+        self.trace(cycle, TraceKind::FrameEnd, cycle, 0);
 
         // Flush the per-frame stage aggregates while any enclosing frame
         // span is still open, so they land under "frame/…" in the span
@@ -743,7 +746,7 @@ impl<C: LineCodec> SlidingWindow<C> {
     /// Encode the staged group, resolve the memory unit's overflow policy
     /// and push the result into the in-flight queue.
     fn push_group(&mut self, cycle: u64) -> Result<()> {
-        let t0 = self.telemetry.is_enabled().then(Instant::now);
+        let t0 = self.telemetry.is_profiling().then(Instant::now);
         let first_exit = cycle + 1 - self.group as u64;
         let recycled = self.spare_encoded.pop();
         let mut encoded = self.codec.encode_group_reuse(&self.staging, recycled);
@@ -762,12 +765,14 @@ impl<C: LineCodec> SlidingWindow<C> {
                         // frees space; the model charges the drain time
                         // and stores the group.
                         let stall_cycles = mu.record_stall(deficit);
-                        self.telemetry.trace(TraceEvent::new(
-                            first_exit,
-                            TraceKind::Stall,
-                            stall_cycles,
-                            deficit,
-                        ));
+                        if self.telemetry.is_tracing() {
+                            self.telemetry.trace(TraceEvent::new(
+                                first_exit,
+                                TraceKind::Stall,
+                                stall_cycles,
+                                deficit,
+                            ));
+                        }
                     }
                     OverflowPolicy::DegradeLossy => {
                         let max_t = mu.config().max_threshold;
@@ -818,12 +823,12 @@ impl<C: LineCodec> SlidingWindow<C> {
                 self.overflow_events += 1;
                 self.m_overflow.inc();
                 if self.kind != LineCodecKind::Raw {
-                    self.telemetry.trace(TraceEvent::new(
+                    self.trace(
                         first_exit,
                         TraceKind::Overflow,
                         self.payload_occupancy + bits,
                         cap,
-                    ));
+                    );
                 }
             }
         }
@@ -836,12 +841,7 @@ impl<C: LineCodec> SlidingWindow<C> {
         self.occ_hist.observe(self.payload_occupancy);
         self.occ_gauge.observe_max(self.payload_occupancy);
         if self.kind != LineCodecKind::Raw {
-            self.telemetry.trace(TraceEvent::new(
-                first_exit,
-                TraceKind::Pack,
-                bits,
-                self.payload_occupancy,
-            ));
+            self.trace(first_exit, TraceKind::Pack, bits, self.payload_occupancy);
         }
         self.queue.push_back(GroupEntry {
             first_exit,
@@ -883,15 +883,10 @@ impl<C: LineCodec> SlidingWindow<C> {
         let Some(entry) = self.queue.pop_front() else {
             return Ok(None);
         };
-        let t0 = self.telemetry.is_enabled().then(Instant::now);
+        let t0 = self.telemetry.is_profiling().then(Instant::now);
         self.m_unpack_pairs.inc();
         if self.kind != LineCodecKind::Raw {
-            self.telemetry.trace(TraceEvent::new(
-                tag,
-                TraceKind::Unpack,
-                entry.payload_bits,
-                0,
-            ));
+            self.trace(tag, TraceKind::Unpack, entry.payload_bits, 0);
         }
         // Decode into the recycled container: its column buffers cycle
         // back through `spare_cols` as the datapath consumes them, so a
@@ -951,20 +946,39 @@ impl<C: LineCodec> SlidingWindow<C> {
         }
         self.payload_occupancy -= bits;
         if self.kind != LineCodecKind::Raw {
-            self.telemetry.trace(TraceEvent::new(
-                tag,
-                TraceKind::FifoPop,
-                self.payload_occupancy,
-                bits,
-            ));
+            self.trace(tag, TraceKind::FifoPop, self.payload_occupancy, bits);
         }
         Ok(())
     }
 
+    /// Record one trace event — built only when a trace ring is bound.
+    #[inline]
+    fn trace(&self, cycle: u64, kind: TraceKind, a: u64, b: u64) {
+        if self.telemetry.is_tracing() {
+            self.telemetry.trace(TraceEvent::new(cycle, kind, a, b));
+        }
+    }
+
+    /// Publish the frame-local instruments (this datapath's, its codec's
+    /// and its memory unit's) to the bound registry.
+    fn flush_telemetry(&mut self) {
+        self.m_iwt_pairs.flush();
+        self.m_unpack_pairs.flush();
+        self.m_overflow.flush();
+        self.occ_hist.flush();
+        self.occ_gauge.flush();
+        self.codec.flush_telemetry();
+        if let Some(mu) = self.memory_unit.as_mut() {
+            mu.flush_telemetry();
+        }
+    }
+
     /// Clear all state (frame boundary). A `DegradeLossy` threshold
     /// escalation persists only to the end of its frame: the configured
-    /// base threshold is restored here.
+    /// base threshold is restored here. Telemetry an aborted frame
+    /// recorded is published first.
     pub fn reset(&mut self) {
+        self.flush_telemetry();
         self.stream = None;
         self.window.clear();
         if self.cfg.threshold != self.base_threshold {

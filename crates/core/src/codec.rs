@@ -259,6 +259,10 @@ pub trait LineCodec {
 
     /// Attach per-codec telemetry under `prefix` (e.g. `stage.s0`).
     fn bind_telemetry(&mut self, _telemetry: &TelemetryHandle, _prefix: &str) {}
+
+    /// Publish the codec telemetry recorded since the last flush (once
+    /// per frame; dropping the codec publishes too).
+    fn flush_telemetry(&mut self) {}
 }
 
 /// Flip one bit of an [`EncodedColumn`] at the requested fault site.
@@ -575,6 +579,10 @@ impl LineCodec for HaarIwtCodec {
 
     fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, prefix: &str) {
         self.codec = CodecTelemetry::attach(telemetry, prefix);
+    }
+
+    fn flush_telemetry(&mut self) {
+        self.codec.flush();
     }
 }
 
@@ -926,6 +934,10 @@ impl LineCodec for HaarTwoLevelCodec {
     fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, prefix: &str) {
         self.codec = CodecTelemetry::attach(telemetry, prefix);
     }
+
+    fn flush_telemetry(&mut self) {
+        self.codec.flush();
+    }
 }
 
 /// LeGall 5/3 over single columns: each evicted column splits into a
@@ -1062,6 +1074,10 @@ impl LineCodec for LeGall53Codec {
 
     fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, prefix: &str) {
         self.codec = CodecTelemetry::attach(telemetry, prefix);
+    }
+
+    fn flush_telemetry(&mut self) {
+        self.codec.flush();
     }
 }
 

@@ -35,7 +35,7 @@ use sw_fpga::bram::{Bram18Config, BRAM18_BITS};
 use sw_fpga::bram_fifo::BramFifo;
 use sw_fpga::fifo::FifoError;
 use sw_fpga::sim::Watermark;
-use sw_telemetry::{Counter, Gauge, TelemetryHandle};
+use sw_telemetry::{LocalCounter, LocalGauge, TelemetryHandle};
 
 /// Memory-unit word width: the 512×36 BRAM18 aspect ratio the packed
 /// stream is stored in.
@@ -152,12 +152,13 @@ pub struct MemoryUnit {
     stall_cycles: u64,
     escalations: u64,
     overflow_events: u64,
-    // Telemetry — no-ops unless bound.
-    m_occ: Gauge,
-    m_high: Gauge,
-    m_stalls: Counter,
-    m_escalations: Counter,
-    m_overflow: Counter,
+    // Telemetry — no-ops unless bound; published per frame by
+    // `flush_telemetry` (and on drop).
+    m_occ: LocalGauge,
+    m_high: LocalGauge,
+    m_stalls: LocalCounter,
+    m_escalations: LocalCounter,
+    m_overflow: LocalCounter,
 }
 
 impl MemoryUnit {
@@ -178,21 +179,35 @@ impl MemoryUnit {
             stall_cycles: 0,
             escalations: 0,
             overflow_events: 0,
-            m_occ: Gauge::noop(),
-            m_high: Gauge::noop(),
-            m_stalls: Counter::noop(),
-            m_escalations: Counter::noop(),
-            m_overflow: Counter::noop(),
+            m_occ: LocalGauge::default(),
+            m_high: LocalGauge::default(),
+            m_stalls: LocalCounter::default(),
+            m_escalations: LocalCounter::default(),
+            m_overflow: LocalCounter::default(),
         }
     }
 
     /// Bind instruments under `memunit.<name>.*`.
     pub(crate) fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, name: &str) {
-        self.m_occ = telemetry.gauge(&format!("memunit.{name}.occupancy_bits"));
-        self.m_high = telemetry.gauge(&format!("memunit.{name}.high_water_bits"));
-        self.m_stalls = telemetry.counter(&format!("memunit.{name}.stall_cycles"));
-        self.m_escalations = telemetry.counter(&format!("memunit.{name}.escalations"));
-        self.m_overflow = telemetry.counter(&format!("memunit.{name}.overflow_events"));
+        let gauge =
+            |series: &str| LocalGauge::new(telemetry.gauge(&format!("memunit.{name}.{series}")));
+        let counter = |series: &str| {
+            LocalCounter::new(telemetry.counter(&format!("memunit.{name}.{series}")))
+        };
+        self.m_occ = gauge("occupancy_bits");
+        self.m_high = gauge("high_water_bits");
+        self.m_stalls = counter("stall_cycles");
+        self.m_escalations = counter("escalations");
+        self.m_overflow = counter("overflow_events");
+    }
+
+    /// Publish the telemetry recorded since the last flush.
+    pub(crate) fn flush_telemetry(&mut self) {
+        self.m_occ.flush();
+        self.m_high.flush();
+        self.m_stalls.flush();
+        self.m_escalations.flush();
+        self.m_overflow.flush();
     }
 
     /// The unit's configuration.
@@ -460,6 +475,7 @@ mod tests {
         mu.record_stall(10);
         mu.record_escalation();
         mu.record_overflow();
+        mu.flush_telemetry();
         let r = t.report();
         assert_eq!(r.gauges["memunit.s0.occupancy_bits"], 100);
         assert_eq!(r.gauges["memunit.s0.high_water_bits"], 100);

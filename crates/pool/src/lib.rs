@@ -8,8 +8,7 @@
 //! with zero workers — the calling thread claims and runs items itself, so
 //! nested parallel calls can never deadlock. A fire-and-forget
 //! [`ThreadPool::spawn`] rides the same queues for detached closures (the
-//! serving reactor's dispatch primitive); with zero workers it degenerates
-//! to inline execution on the caller.
+//! serving reactor's dispatch primitive); it needs at least one worker.
 //!
 //! # Scheduling model
 //!
@@ -238,6 +237,9 @@ impl Shared {
     }
 
     fn push(&self, task: Task) {
+        // Count the task before it becomes visible: a worker may take it
+        // (and decrement) the moment it is queued.
+        let depth = self.pending.fetch_add(1, Ordering::SeqCst) as u64 + 1;
         match self.worker_index() {
             Some(idx) => {
                 self.locals[idx]
@@ -251,7 +253,6 @@ impl Shared {
                 self.stats.injected.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let depth = self.pending.fetch_add(1, Ordering::SeqCst) as u64 + 1;
         self.stats
             .queue_depth_high_water
             .fetch_max(depth, Ordering::Relaxed);
@@ -285,11 +286,11 @@ impl Shared {
         None
     }
 
-    /// Execute one dequeued task. Detached closures run under
+    /// Execute one task a worker dequeued. Detached closures run under
     /// `catch_unwind` so a panicking submission can never kill a worker.
-    fn run_task(&self, task: Task, is_worker: bool) {
+    fn run_task(&self, task: Task) {
         match task {
-            Task::Batch(ticket) => ticket.run(self, is_worker),
+            Task::Batch(ticket) => ticket.run(self, true),
             Task::Detached(f) => {
                 self.stats.detached.fetch_add(1, Ordering::Relaxed);
                 if panic::catch_unwind(AssertUnwindSafe(f)).is_err() {
@@ -307,7 +308,7 @@ fn worker_main(shared: Arc<Shared>, me: usize) {
             return;
         }
         if let Some(task) = shared.take(Some(me)) {
-            shared.run_task(task, true);
+            shared.run_task(task);
             continue;
         }
         let guard = shared.sleep.lock().expect("sleep lock");
@@ -409,19 +410,20 @@ impl ThreadPool {
     /// Submit a detached closure for execution on a worker thread.
     ///
     /// Unlike [`par_map_indexed`](Self::par_map_indexed) this does not
-    /// block: the closure is queued and the call returns immediately. With
-    /// zero workers (`jobs == 1`) the closure runs inline on the caller —
-    /// there is no other thread that could ever drain it. Panics inside
-    /// the closure are caught and counted in [`PoolStats::detached_panics`];
-    /// they never poison the pool or kill a worker.
+    /// block: the closure is queued and the call returns immediately.
+    /// Panics inside the closure are caught and counted in
+    /// [`PoolStats::detached_panics`]; they never poison the pool or kill
+    /// a worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pool without workers (`jobs == 1`): no thread could
+    /// ever run the closure.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        if self.workers() == 0 {
-            self.shared.run_task(Task::Detached(Box::new(f)), false);
-            return;
-        }
+        assert!(self.workers() > 0, "spawn needs at least one worker thread");
         self.shared.push(Task::Detached(Box::new(f)));
     }
 
@@ -763,14 +765,9 @@ mod tests {
     }
 
     #[test]
-    fn spawn_runs_inline_with_zero_workers() {
-        let pool = ThreadPool::new(1);
-        let caller = thread::current().id();
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.spawn(move || tx.send(thread::current().id()).expect("receiver alive"));
-        // Inline execution: the result is already there, on the caller.
-        assert_eq!(rx.try_recv().expect("ran inline"), caller);
-        assert_eq!(pool.stats().detached, 1);
+    #[should_panic(expected = "at least one worker")]
+    fn spawn_without_workers_is_rejected() {
+        ThreadPool::new(1).spawn(|| {});
     }
 
     #[test]

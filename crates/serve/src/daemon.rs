@@ -1,11 +1,13 @@
 //! `swc serve`: the long-running daemon.
 //!
-//! One [`reactor`](crate::reactor) thread multiplexes the listener and
+//! One [`reactor`] thread multiplexes the listener and
 //! every connection through a single `poll(2)` ready set, one shared
-//! [`ThreadPool`] every job executes on, one [`TenantGovernor`]
+//! [`ThreadPool`] every job executes on — `jobs` worker threads, so
+//! `jobs` jobs or stream steps execute at once — one [`TenantGovernor`]
 //! multiplexing tenants over it. All serving state is observable through
-//! the existing telemetry registry: `swc client --metrics` returns the
-//! same Prometheus exposition `Report::to_prometheus` produces for the
+//! a metrics-only telemetry registry (no trace ring, no span profiler:
+//! nothing here reads them): `swc client --metrics` returns the same
+//! Prometheus exposition `Report::to_prometheus` produces for the
 //! datapath, extended with the `serve.*` family (inflight, queue depth,
 //! per-tenant rejects, degraded jobs, `serve.reactor.*` loop health).
 //!
@@ -70,7 +72,8 @@ impl Listen {
 pub struct DaemonConfig {
     /// Listen address.
     pub listen: Listen,
-    /// Shared pool size (0 = `SWC_JOBS` / available parallelism).
+    /// Threads executing jobs and stream steps at once (0 = `SWC_JOBS` /
+    /// available parallelism).
     pub jobs: usize,
     /// Default per-tenant admission budget.
     pub tenant_policy: TenantPolicy,
@@ -97,6 +100,10 @@ pub(crate) struct Shared {
     pub(crate) governor: TenantGovernor,
     /// Wakes the reactor's blocking `poll` — the stop flag alone cannot.
     pub(crate) waker: Waker,
+    /// Runs on the executor thread as each admitted whole-frame job
+    /// starts, so tests can hold jobs at a rendezvous.
+    #[cfg(test)]
+    pub(crate) exec_hook: std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// A running daemon. Dropping it stops and joins everything.
@@ -115,14 +122,17 @@ impl Daemon {
         } else {
             cfg.jobs
         };
-        let tele = TelemetryHandle::new();
+        let tele = TelemetryHandle::metrics_only();
         let (waker, wake_rx) = reactor::wake_pair()?;
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            pool: ThreadPool::new(jobs),
+            // The reactor never helps drain the pool: `jobs` executors are its workers.
+            pool: ThreadPool::new(jobs + 1),
             tele,
             governor: TenantGovernor::new(cfg.tenant_policy),
             waker,
+            #[cfg(test)]
+            exec_hook: std::sync::OnceLock::new(),
         });
         let (source, local_addr, unix_path) = match &cfg.listen {
             Listen::Tcp(addr) => {
@@ -245,6 +255,10 @@ pub(crate) fn run_job(
     let inflight = tele.gauge("serve.inflight");
     inflight.add(1);
     let result = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if let Some(hook) = shared.exec_hook.get() {
+            hook();
+        }
         exec::execute(&effective, &shared.pool, tele)
     }));
     inflight.sub(1);
@@ -274,7 +288,9 @@ pub(crate) fn metrics_text(shared: &Shared) -> String {
     let tele = &shared.tele;
     tele.gauge("serve.inflight_jobs")
         .set(shared.governor.inflight_jobs());
-    tele.gauge("serve.pool_jobs").set(shared.pool.jobs() as u64);
+    // Executor threads, i.e. the configured `jobs`.
+    tele.gauge("serve.pool_jobs")
+        .set(shared.pool.workers() as u64);
     tele.report().to_prometheus()
 }
 
@@ -304,6 +320,76 @@ mod tests {
         let mut d = Daemon::start(DaemonConfig::default()).unwrap();
         let addr = d.local_addr().unwrap();
         assert_ne!(addr.port(), 0);
+        d.stop();
+    }
+
+    #[test]
+    fn two_jobs_execute_at_once_on_a_two_job_daemon() {
+        use crate::api::{FramePayload, JobSpec};
+        use crate::client::Client;
+        use std::sync::mpsc;
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        let mut d = Daemon::start(DaemonConfig {
+            jobs: 2,
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        // Each job reports that it started, then waits at a gate the test
+        // opens only once both jobs are executing — one executor thread
+        // would hold the second job in the queue behind the first. The
+        // wait is capped so a failing daemon still drains and stops.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let started_tx = Mutex::new(started_tx);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let hook_gate = Arc::clone(&gate);
+        let hook = move || {
+            started_tx.lock().unwrap().send(()).unwrap();
+            let (open, cv) = &*hook_gate;
+            let guard = open.lock().unwrap();
+            let _ = cv
+                .wait_timeout_while(guard, Duration::from_secs(30), |open| !*open)
+                .unwrap();
+        };
+        assert!(d.shared.exec_hook.set(Box::new(hook)).is_ok());
+
+        // Frames above the small-job size are dispatched one per pool
+        // task, never batched together.
+        let req = JobRequest {
+            tenant: "overlap".into(),
+            spec: JobSpec::default(),
+            frame: FramePayload {
+                width: 256,
+                height: 96,
+                pixels: (0..256 * 96).map(|i| (i * 37 % 251) as u8).collect(),
+            },
+            want_frame: false,
+        };
+        let listen = Listen::Tcp(d.local_addr().unwrap().to_string());
+        let digests = std::thread::scope(|s| {
+            let jobs: Vec<_> = (0..2)
+                .map(|_| {
+                    let (listen, req) = (&listen, &req);
+                    s.spawn(move || {
+                        let mut client = Client::connect(listen).unwrap();
+                        client.submit(req).unwrap().digest
+                    })
+                })
+                .collect();
+            let both_started =
+                (0..2).all(|_| started_rx.recv_timeout(Duration::from_secs(10)).is_ok());
+            let (open, cv) = &*gate;
+            *open.lock().unwrap() = true;
+            cv.notify_all();
+            let digests: Vec<u64> = jobs.into_iter().map(|j| j.join().unwrap()).collect();
+            assert!(
+                both_started,
+                "the second job never started beside the first"
+            );
+            digests
+        });
+        assert_eq!(digests[0], digests[1]);
         d.stop();
     }
 

@@ -11,11 +11,11 @@
 //! - reads are nonblocking and feed an incremental [`FrameAssembler`]
 //!   per connection, so slow-loris byte-at-a-time senders cost a buffer,
 //!   not a thread;
-//! - execution never runs on the event thread (except on a degenerate
-//!   one-job pool, which has no worker to hand off to): whole-frame jobs
-//!   and stream steps are dispatched to the shared [`sw_pool::ThreadPool`]
-//!   via [`ThreadPool::spawn`], and completions return through a
-//!   self-pipe the pool workers write to;
+//! - execution never runs on the event thread: whole-frame jobs and
+//!   stream steps are dispatched to the shared [`sw_pool::ThreadPool`]
+//!   via [`ThreadPool::spawn`], whose `jobs` workers execute up to `jobs`
+//!   of them at once, and completions return through a self-pipe the
+//!   pool workers write to;
 //! - writes go through bounded per-connection queues; a connection whose
 //!   write queue or stream backlog grows past the caps stops being
 //!   polled for reads (backpressure) and is killed outright if it keeps

@@ -20,8 +20,9 @@
 //!   text exposition.
 //!
 //! The entry point is [`TelemetryHandle`]: a cheaply clonable handle that is
-//! either *enabled* (backed by a shared registry + trace ring) or *disabled*
-//! (the default). Disabled handles hand out no-op instruments — a plain
+//! either *enabled* (backed by a shared registry, plus a trace ring and span
+//! profiler unless it is [metrics-only](TelemetryHandle::metrics_only)) or
+//! *disabled* (the default). Disabled handles hand out no-op instruments — a plain
 //! `Option<Arc<_>>` check per record, no allocation, no locking — so the
 //! 1-pixel-per-clock hot paths can be instrumented unconditionally.
 //!
@@ -49,7 +50,9 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{
+    Counter, Gauge, Histogram, LocalCounter, LocalGauge, LocalHistogram, MetricsRegistry,
+};
 pub use profile::{PathProfile, ProfileSnapshot, ProfileSpan, SpanProfiler};
 pub use report::{prometheus_series, HistogramSnapshot, Report};
 pub use span::Span;
@@ -64,12 +67,16 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 #[derive(Debug)]
 struct TelemetryInner {
     registry: MetricsRegistry,
-    trace: Mutex<TraceRing>,
-    profiler: SpanProfiler,
+    /// `None` on a metrics-only handle.
+    trace: Option<Mutex<TraceRing>>,
+    /// `None` on a metrics-only handle.
+    profiler: Option<SpanProfiler>,
 }
 
-/// A cheaply clonable telemetry context: either enabled (shared registry +
-/// trace ring) or disabled (all instruments are no-ops).
+/// A cheaply clonable telemetry context: either enabled (shared registry,
+/// plus a trace ring and span profiler unless built
+/// [`metrics_only`](Self::metrics_only)) or disabled (all instruments are
+/// no-ops).
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryHandle {
     inner: Option<Arc<TelemetryInner>>,
@@ -86,8 +93,21 @@ impl TelemetryHandle {
         Self {
             inner: Some(Arc::new(TelemetryInner {
                 registry: MetricsRegistry::new(),
-                trace: Mutex::new(TraceRing::new(capacity)),
-                profiler: SpanProfiler::new(),
+                trace: Some(Mutex::new(TraceRing::new(capacity))),
+                profiler: Some(SpanProfiler::new()),
+            })),
+        }
+    }
+
+    /// An enabled handle that records metrics only: no trace ring and no
+    /// span profiler, so the datapath skips building trace events and
+    /// reading the clock per group. Trace and profile calls are no-ops.
+    pub fn metrics_only() -> Self {
+        Self {
+            inner: Some(Arc::new(TelemetryInner {
+                registry: MetricsRegistry::new(),
+                trace: None,
+                profiler: None,
             })),
         }
     }
@@ -101,6 +121,26 @@ impl TelemetryHandle {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether [`trace`](Self::trace) events reach a trace ring.
+    #[inline]
+    pub fn is_tracing(&self) -> bool {
+        self.ring().is_some()
+    }
+
+    /// Whether profiling spans and aggregates reach a span profiler.
+    #[inline]
+    pub fn is_profiling(&self) -> bool {
+        self.profiler().is_some()
+    }
+
+    fn profiler(&self) -> Option<&SpanProfiler> {
+        self.inner.as_ref().and_then(|i| i.profiler.as_ref())
+    }
+
+    fn ring(&self) -> Option<&Mutex<TraceRing>> {
+        self.inner.as_ref().and_then(|i| i.trace.as_ref())
     }
 
     /// A named counter (no-op when disabled).
@@ -146,8 +186,8 @@ impl TelemetryHandle {
     /// calls on the same thread build slash-separated paths; see
     /// [`profile::SpanProfiler`].
     pub fn profile_span(&self, name: &str) -> ProfileSpan {
-        match &self.inner {
-            Some(i) => i.profiler.begin(name),
+        match self.profiler() {
+            Some(p) => p.begin(name),
             None => ProfileSpan::noop(),
         }
     }
@@ -156,17 +196,15 @@ impl TelemetryHandle {
     /// totalling `total_ns`, attributed under the currently open profiling
     /// span (no-op when disabled).
     pub fn profile_record(&self, name: &str, total_ns: u64, calls: u64) {
-        if let Some(i) = &self.inner {
-            i.profiler.record_aggregate(name, total_ns, calls);
+        if let Some(p) = self.profiler() {
+            p.record_aggregate(name, total_ns, calls);
         }
     }
 
     /// Snapshot the hierarchical profiler. Empty when disabled.
     pub fn profile_snapshot(&self) -> ProfileSnapshot {
-        match &self.inner {
-            Some(i) => i.profiler.snapshot(),
-            None => ProfileSnapshot::default(),
-        }
+        self.profiler()
+            .map_or_else(ProfileSnapshot::default, SpanProfiler::snapshot)
     }
 
     /// Render the profiler's flame-style self-time table.
@@ -178,18 +216,15 @@ impl TelemetryHandle {
     /// of order). Also surfaced in [`TelemetryHandle::report`] as the
     /// `telemetry.spans_abandoned` counter when non-zero.
     pub fn spans_abandoned(&self) -> u64 {
-        match &self.inner {
-            Some(i) => i.profiler.abandoned(),
-            None => 0,
-        }
+        self.profiler().map_or(0, SpanProfiler::abandoned)
     }
 
-    /// Record one cycle-domain trace event (dropped silently when
-    /// disabled; counted by the ring when it overwrites).
+    /// Record one cycle-domain trace event (dropped silently without a
+    /// trace ring; counted by the ring when it overwrites).
     #[inline]
     pub fn trace(&self, event: TraceEvent) {
-        if let Some(i) = &self.inner {
-            i.trace.lock().expect("trace lock").push(event);
+        if let Some(ring) = self.ring() {
+            ring.lock().expect("trace lock").push(event);
         }
     }
 
@@ -200,7 +235,7 @@ impl TelemetryHandle {
         match &self.inner {
             Some(i) => {
                 let mut r = i.registry.snapshot();
-                let abandoned = i.profiler.abandoned();
+                let abandoned = self.spans_abandoned();
                 if abandoned > 0 {
                     r.counters
                         .insert("telemetry.spans_abandoned".to_string(), abandoned);
@@ -214,8 +249,8 @@ impl TelemetryHandle {
     /// Write the trace ring as JSON lines; returns the number of events
     /// written (0 when disabled).
     pub fn write_trace_jsonl<W: Write>(&self, w: &mut W) -> io::Result<usize> {
-        match &self.inner {
-            Some(i) => i.trace.lock().expect("trace lock").write_jsonl(w),
+        match self.ring() {
+            Some(ring) => ring.lock().expect("trace lock").write_jsonl(w),
             None => Ok(0),
         }
     }
@@ -225,26 +260,22 @@ impl TelemetryHandle {
     /// to 1 µs on the viewer timeline). Returns the number of trace-event
     /// records written (0 when disabled; nothing is written then).
     pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<usize> {
-        match &self.inner {
-            Some(i) => i.trace.lock().expect("trace lock").write_chrome_trace(w),
+        match self.ring() {
+            Some(ring) => ring.lock().expect("trace lock").write_chrome_trace(w),
             None => Ok(0),
         }
     }
 
     /// Events overwritten because the trace ring was full.
     pub fn trace_dropped(&self) -> u64 {
-        match &self.inner {
-            Some(i) => i.trace.lock().expect("trace lock").dropped(),
-            None => 0,
-        }
+        self.ring()
+            .map_or(0, |ring| ring.lock().expect("trace lock").dropped())
     }
 
     /// Number of events currently held in the trace ring.
     pub fn trace_len(&self) -> usize {
-        match &self.inner {
-            Some(i) => i.trace.lock().expect("trace lock").len(),
-            None => 0,
-        }
+        self.ring()
+            .map_or(0, |ring| ring.lock().expect("trace lock").len())
     }
 }
 
@@ -336,6 +367,27 @@ mod tests {
         let mut buf = Vec::new();
         assert_eq!(t.write_chrome_trace(&mut buf).unwrap(), 0);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn metrics_only_handle_records_metrics_but_no_trace_or_profile() {
+        let t = TelemetryHandle::metrics_only();
+        assert!(t.is_enabled());
+        assert!(!t.is_tracing() && !t.is_profiling());
+        t.counter("work.items").add(3);
+        drop(t.span("work"));
+        t.trace(TraceEvent::new(1, TraceKind::Pack, 2, 3));
+        let s = t.profile_span("frame");
+        assert!(!s.is_active());
+        drop(s);
+        t.profile_record("encode", 10, 1);
+        assert_eq!(t.trace_len(), 0);
+        assert!(t.profile_snapshot().is_empty());
+        let r = t.report();
+        assert_eq!(r.counters["work.items"], 3);
+        assert_eq!(r.counters["work.calls"], 1);
+        let full = TelemetryHandle::new();
+        assert!(full.is_tracing() && full.is_profiling());
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! them unconditionally. Enabled instruments share `Arc`ed atomic cells
 //! with the registry, so cloning an instrument or the handle is free and
 //! all clones feed the same series.
+//!
+//! [`LocalCounter`], [`LocalGauge`] and [`LocalHistogram`] are their
+//! frame-local twins for per-pixel, per-column and per-group updates:
+//! plain fields owned by one datapath, published to the shared series
+//! once per frame, so threads sharing one registry do not contend on
+//! its atomics.
 
 use crate::report::{HistogramSnapshot, Report};
 use std::collections::BTreeMap;
@@ -282,6 +288,181 @@ impl MetricsRegistry {
     }
 }
 
+/// A frame-local counter: increments land in a plain field owned by one
+/// thread and reach the shared [`Counter`] in one atomic add per
+/// [`flush`](Self::flush) (and on drop). A clone starts empty, so nothing
+/// is counted twice.
+#[derive(Debug, Default)]
+pub struct LocalCounter {
+    shared: Counter,
+    pending: u64,
+}
+
+impl LocalCounter {
+    /// Accumulate locally on behalf of `shared`.
+    pub fn new(shared: Counter) -> Self {
+        Self { shared, pending: 0 }
+    }
+
+    /// Increment by one.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.pending += 1;
+    }
+
+    /// Increment by `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.pending += n;
+    }
+
+    /// Publish the accumulated increments to the shared counter.
+    pub fn flush(&mut self) {
+        if self.pending > 0 {
+            self.shared.add(std::mem::take(&mut self.pending));
+        }
+    }
+}
+
+impl Clone for LocalCounter {
+    fn clone(&self) -> Self {
+        Self::new(self.shared.clone())
+    }
+}
+
+impl Drop for LocalCounter {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// A frame-local gauge. [`set`](Self::set) keeps the last value and
+/// [`observe_max`](Self::observe_max) the largest; [`flush`](Self::flush)
+/// (and drop) applies them to the shared [`Gauge`] with the same
+/// semantics. One gauge takes one kind of update. A clone starts empty.
+#[derive(Debug, Default)]
+pub struct LocalGauge {
+    shared: Gauge,
+    last: Option<u64>,
+    max: Option<u64>,
+}
+
+impl LocalGauge {
+    /// Accumulate locally on behalf of `shared`.
+    pub fn new(shared: Gauge) -> Self {
+        Self {
+            shared,
+            last: None,
+            max: None,
+        }
+    }
+
+    /// Record `v` as the current value.
+    #[inline]
+    pub fn set(&mut self, v: u64) {
+        self.last = Some(v);
+    }
+
+    /// Record `v` as a high-water candidate.
+    #[inline]
+    pub fn observe_max(&mut self, v: u64) {
+        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+    }
+
+    /// Publish the pending value and maximum to the shared gauge.
+    pub fn flush(&mut self) {
+        if let Some(v) = self.last.take() {
+            self.shared.set(v);
+        }
+        if let Some(m) = self.max.take() {
+            self.shared.observe_max(m);
+        }
+    }
+}
+
+impl Clone for LocalGauge {
+    fn clone(&self) -> Self {
+        Self::new(self.shared.clone())
+    }
+}
+
+impl Drop for LocalGauge {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// A frame-local histogram: observations bucket into plain fields and
+/// merge into the shared [`Histogram`] on [`flush`](Self::flush) (and on
+/// drop). A no-op histogram records nothing. A clone starts empty.
+#[derive(Debug, Default)]
+pub struct LocalHistogram {
+    shared: Histogram,
+    /// One count per shared bucket (empty when the shared one is a no-op).
+    counts: Vec<u64>,
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl LocalHistogram {
+    /// Accumulate locally on behalf of `shared`.
+    pub fn new(shared: Histogram) -> Self {
+        let buckets = shared.0.as_ref().map_or(0, |h| h.counts.len());
+        Self {
+            shared,
+            counts: vec![0; buckets],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Record one observation.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        if let Some(h) = &self.shared.0 {
+            self.counts[h.bounds.partition_point(|&b| b < v)] += 1;
+            self.count += 1;
+            self.sum += v;
+            self.max = self.max.max(v);
+        }
+    }
+
+    /// Merge the pending observations into the shared histogram.
+    pub fn flush(&mut self) {
+        let Some(h) = &self.shared.0 else {
+            return;
+        };
+        if self.count == 0 {
+            return;
+        }
+        for (cell, n) in h.counts.iter().zip(&mut self.counts) {
+            if *n > 0 {
+                cell.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        }
+        h.count
+            .fetch_add(std::mem::take(&mut self.count), Ordering::Relaxed);
+        h.sum
+            .fetch_add(std::mem::take(&mut self.sum), Ordering::Relaxed);
+        h.max
+            .fetch_max(std::mem::take(&mut self.max), Ordering::Relaxed);
+    }
+}
+
+impl Clone for LocalHistogram {
+    fn clone(&self) -> Self {
+        Self::new(self.shared.clone())
+    }
+}
+
+impl Drop for LocalHistogram {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 /// Exponentially spaced histogram bounds: `start, start*factor, …`
 /// (`count` bounds total).
 ///
@@ -358,6 +539,58 @@ mod tests {
     #[test]
     fn exponential_bounds_grow() {
         assert_eq!(exponential_bounds(64, 4, 4), vec![64, 256, 1024, 4096]);
+    }
+
+    #[test]
+    fn local_instruments_publish_on_flush_and_drop() {
+        let r = MetricsRegistry::new();
+        let mut c = LocalCounter::new(r.counter("c"));
+        let mut g = LocalGauge::new(r.gauge("g"));
+        let mut hw = LocalGauge::new(r.gauge("hw"));
+        let mut h = LocalHistogram::new(r.histogram("h", &[10, 100]));
+        c.add(4);
+        c.inc();
+        g.set(7);
+        g.set(3);
+        hw.observe_max(9);
+        hw.observe_max(2);
+        for v in [0, 10, 11, 100, 101, 5000] {
+            h.observe(v);
+        }
+        assert_eq!(r.counter("c").get(), 0, "nothing published before a flush");
+        c.flush();
+        g.flush();
+        hw.flush();
+        h.flush();
+        assert_eq!(r.counter("c").get(), 5);
+        assert_eq!(r.gauge("g").get(), 3, "last value wins");
+        assert_eq!(r.gauge("hw").get(), 9);
+        let s = r.histogram("h", &[10, 100]).snapshot();
+        assert_eq!(s.counts, vec![2, 2, 2]);
+        assert_eq!((s.count, s.sum, s.max), (6, 5222, 5000));
+        // A second flush publishes nothing new; a clone starts empty and
+        // a dropped instrument publishes what it holds.
+        c.flush();
+        h.flush();
+        assert_eq!(r.counter("c").get(), 5);
+        assert_eq!(r.histogram("h", &[1]).count(), 6);
+        c.add(2);
+        let mut twin = c.clone();
+        twin.flush();
+        assert_eq!(r.counter("c").get(), 5);
+        drop(c);
+        assert_eq!(r.counter("c").get(), 7);
+    }
+
+    #[test]
+    fn noop_local_instruments_record_nothing() {
+        let mut h = LocalHistogram::new(Histogram::noop());
+        h.observe(3);
+        h.flush();
+        let mut c = LocalCounter::new(Counter::noop());
+        c.inc();
+        c.flush();
+        assert_eq!(h.shared.count(), 0);
     }
 
     #[test]
