@@ -49,6 +49,27 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Append the low `count` bits of `bits` (`count <= 64`; bits above
+    /// `count` must be clear), bit 0 first.
+    pub fn push_bits(&mut self, bits: u64, count: u32) {
+        debug_assert!(count <= 64 && (count == 64 || bits >> count == 0));
+        if count == 0 {
+            return;
+        }
+        let off = (self.len % 64) as u32;
+        if off == 0 {
+            self.words.push(bits);
+        } else {
+            if let Some(last) = self.words.last_mut() {
+                *last |= bits << off;
+            }
+            if off + count > 64 {
+                self.words.push(bits >> (64 - off));
+            }
+        }
+        self.len += count as usize;
+    }
+
     /// Read bit `i`.
     ///
     /// # Panics
@@ -179,5 +200,26 @@ mod tests {
         let bm: Bitmap = [true, false, true].into_iter().collect();
         let back: Vec<bool> = bm.iter().collect();
         assert_eq!(back, vec![true, false, true]);
+    }
+
+    #[test]
+    fn push_bits_matches_bitwise_pushes() {
+        let mut state = 0x2545_f491_u64;
+        for _ in 0..200 {
+            let mut a = Bitmap::new();
+            let mut b = Bitmap::new();
+            for _ in 0..5 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let count = (state >> 58) as u32 + 1;
+                let bits = (state >> 3) & (u64::MAX >> (64 - count));
+                a.push_bits(bits, count);
+                for i in 0..count {
+                    b.push(bits >> i & 1 == 1);
+                }
+            }
+            assert_eq!(a, b);
+        }
     }
 }

@@ -12,7 +12,6 @@
 //! and tests proving the two agree bit for bit.
 
 use crate::{Coeff, Sample};
-use sw_wavelet::swar::load_lanes;
 
 /// Minimum number of two's-complement bits needed to represent `v`.
 ///
@@ -79,62 +78,78 @@ pub fn min_bits_significant_of<S: Sample>(column: &[S], threshold: S) -> u32 {
         .unwrap_or(1)
 }
 
-/// Bit-sliced NBits width scan: the hot-path twin of
+/// The sign-XOR magnitude of `v` when it is significant under `threshold`,
+/// else 0 — one coefficient's input to the NBits OR-fold. `mag(0) == 0`, so
+/// for `T <= 1` (where significance is simply `v != 0`) the filter drops
+/// out and the fold is branch-free.
+#[inline]
+fn significant_magnitude<S: Sample>(v: S, threshold: S) -> u64 {
+    if threshold.to_i64() <= 1 || crate::is_significant_of(v, threshold) {
+        v.magnitude()
+    } else {
+        0
+    }
+}
+
+/// Priority-encode an OR-folded magnitude into a width: `mag(0) == 0`, so
+/// an all-insignificant column falls back to the architectural minimum of 1.
+#[inline]
+fn width_of_magnitudes(or_mag: u64) -> u32 {
+    65 - or_mag.leading_zeros().min(64)
+}
+
+/// OR-fold NBits width scan: the hot-path twin of
 /// [`min_bits_significant`], guaranteed to return the identical width.
 ///
-/// Works the way the paper's Figure 7 circuit does, but four 16-bit lanes at
-/// a time: each coefficient is mapped to its sign-XOR magnitude
-/// (`v ^ (v >> 15)`, exactly the XOR stage of [`NBitsCircuit`]), the
-/// magnitudes are OR-reduced across the whole column, and a single leading-
-/// zeros count priority-encodes the final width. The threshold filter is
-/// folded into the magnitude form: a lane's magnitude participates only when
-/// `v != 0 && |v| >= T`.
+/// Works the way the paper's Figure 7 circuit does: each coefficient is
+/// mapped to its sign-XOR magnitude (`v ^ (v >> 15)`, exactly the XOR
+/// stage of [`NBitsCircuit`]), the magnitudes are OR-reduced across the
+/// whole column, and a single leading-zeros count priority-encodes the
+/// final width. The threshold filter is folded into the magnitude form: a
+/// coefficient's magnitude participates only when `v != 0 && |v| >= T`.
 pub fn min_bits_significant_sliced(column: &[Coeff], threshold: Coeff) -> u32 {
     min_bits_significant_sliced_of(column, threshold)
 }
 
-/// Width-generic twin of [`min_bits_significant_sliced`], `S::LANES` lanes at
-/// a time (4×16 for [`Coeff`], 2×32 for the wide instance).
+/// Width-generic twin of [`min_bits_significant_sliced`].
 pub fn min_bits_significant_sliced_of<S: Sample>(column: &[S], threshold: S) -> u32 {
-    let or_mag: u64 = if threshold.to_i64() <= 1 {
-        // T <= 1 means significance is simply `v != 0`, and mag(0) == 0
-        // contributes nothing to an OR-fold — no per-lane masking needed.
-        let mut or64 = 0u64;
-        let mut chunks = column.chunks_exact(S::LANES);
-        for lanes in &mut chunks {
-            let x = load_lanes::<S>(lanes);
-            // Per-lane sign mask: lane = all-ones where the coefficient is
-            // negative, 0 otherwise; XOR yields the sign-XOR magnitude.
-            let sign = ((x >> (S::LANE_BITS - 1)) & S::LANE_ONE).wrapping_mul(S::LANE0_MASK);
-            or64 |= x ^ sign;
+    let or_mag = column
+        .iter()
+        .fold(0u64, |acc, &v| acc | significant_magnitude(v, threshold));
+    width_of_magnitudes(or_mag)
+}
+
+/// The NBits width of every column of a row-major plane at once: column
+/// `k` is `plane[k], plane[lanes + k], …`, and `widths[k]` receives
+/// exactly [`min_bits_significant_sliced_of`] of it. The OR-fold runs one
+/// elementwise pass per row across all lanes — the lane-parallel form the
+/// datapath's row step uses. `fold` is scratch (resized to `lanes`).
+///
+/// # Panics
+///
+/// Panics if the plane is not a whole number of `lanes`-wide rows or
+/// `widths` is not `lanes` long.
+pub fn min_bits_significant_columns_of<S: Sample>(
+    plane: &[S],
+    lanes: usize,
+    threshold: S,
+    fold: &mut Vec<u64>,
+    widths: &mut [u32],
+) {
+    assert!(
+        lanes > 0 && plane.len().is_multiple_of(lanes) && widths.len() == lanes,
+        "plane shape"
+    );
+    fold.clear();
+    fold.resize(lanes, 0);
+    for row in plane.chunks_exact(lanes) {
+        for (acc, &v) in fold.iter_mut().zip(row) {
+            *acc |= significant_magnitude(v, threshold);
         }
-        // Fold the lanes of the accumulated OR into one lane-wide mask.
-        let mut folded = or64;
-        let mut width = 64u32;
-        while width > S::LANE_BITS {
-            width /= 2;
-            folded |= folded >> width;
-        }
-        let mut or_mag = folded & S::LANE0_MASK;
-        for &v in chunks.remainder() {
-            or_mag |= v.magnitude();
-        }
-        or_mag
-    } else {
-        // Lossy thresholds need a per-coefficient compare before the
-        // OR-fold; the filter must be the scalar `is_significant` itself so
-        // the two paths cannot disagree on any input.
-        let mut or_mag = 0u64;
-        for &v in column {
-            if crate::is_significant_of(v, threshold) {
-                or_mag |= v.magnitude();
-            }
-        }
-        or_mag
-    };
-    // Priority encode: mag(0) == 0 so an all-insignificant column falls back
-    // to the architectural minimum width of 1.
-    65 - or_mag.leading_zeros().min(64)
+    }
+    for (w, &m) in widths.iter_mut().zip(fold.iter()) {
+        *w = width_of_magnitudes(m);
+    }
 }
 
 /// Gate-level model of the paper's "Find Minimum Number of Bits" block

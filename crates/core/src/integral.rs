@@ -32,7 +32,7 @@ use sw_bitstream::{
 };
 use sw_image::{integral::max_row_prefix_sum, row_prefix_sums, ImageU8};
 use sw_pool::ThreadPool;
-use sw_wavelet::swar::add_slices_of;
+use sw_wavelet::lanes::add_slices_of;
 
 /// The wide coefficient word integral lines are buffered as.
 pub type WideCoeff = i32;

@@ -14,8 +14,8 @@
 //! architecture requires.
 
 use crate::haar::{haar_fwd_pair, haar_inv_pair};
+use crate::lanes;
 use crate::subband::{SubBand, SubbandPlanes};
-use crate::swar;
 use crate::Coeff;
 
 /// The four coefficients of one transformed 2×2 pixel block.
@@ -216,10 +216,12 @@ impl ColumnPairTransformer {
     /// Zero-allocation twin of [`Self::push_column`] for the sliced hot path.
     ///
     /// Bit-identical to `push_column` on the codec's coefficient domain (and
-    /// on all inputs in release builds), but the vertical stage runs through
-    /// the u64 SWAR kernels of [`crate::swar`] and every buffer — the
-    /// vertical-stage halves and the emitted pair — is recycled across calls,
-    /// so a warmed-up transformer performs no heap allocation per column.
+    /// on all inputs in release builds). Both stages run through the
+    /// lane-parallel kernels of [`crate::lanes`] — the same ones the
+    /// datapath's row step applies across a whole row of columns, here on
+    /// one column pair — and every buffer (the vertical-stage halves and
+    /// the emitted pair) is recycled across calls, so a warmed-up
+    /// transformer performs no heap allocation per column.
     ///
     /// The returned reference stays valid until the next call on `self`.
     ///
@@ -234,7 +236,7 @@ impl ColumnPairTransformer {
         l.resize(half, 0);
         h.clear();
         h.resize(half, 0);
-        swar::haar_fwd_interleaved(column, &mut l, &mut h);
+        lanes::haar_fwd_interleaved(column, &mut l, &mut h);
         match self.pending.take() {
             None => {
                 self.pending = Some((l, h));
@@ -258,11 +260,11 @@ impl ColumnPairTransformer {
                 out.odd.coeffs.resize(n, 0);
                 {
                     let (ll, lh) = out.even.coeffs.split_at_mut(half);
-                    swar::haar_fwd_slices(&l0, &l, ll, lh);
+                    lanes::haar_fwd_slices(&l0, &l, ll, lh);
                 }
                 {
                     let (hl, hh) = out.odd.coeffs.split_at_mut(half);
-                    swar::haar_fwd_slices(&h0, &h, hl, hh);
+                    lanes::haar_fwd_slices(&h0, &h, hl, hh);
                 }
                 self.spare.push((l0, h0));
                 self.spare.push((l, h));
@@ -392,15 +394,15 @@ impl ColumnPairInverse {
         }
         let [l0, l1, h0, h1] = &mut self.rows;
         // Undo the horizontal stage across the column pair.
-        swar::haar_inv_slices(ll, lh, l0, l1);
-        swar::haar_inv_slices(hl, hh, h0, h1);
+        lanes::haar_inv_slices(ll, lh, l0, l1);
+        lanes::haar_inv_slices(hl, hh, h0, h1);
         // Undo the vertical stage, re-interleaving each column's row pairs.
         self.cols.0.clear();
         self.cols.0.resize(self.n, 0);
         self.cols.1.clear();
         self.cols.1.resize(self.n, 0);
-        swar::haar_inv_interleaved(l0, h0, &mut self.cols.0);
-        swar::haar_inv_interleaved(l1, h1, &mut self.cols.1);
+        lanes::haar_inv_interleaved(l0, h0, &mut self.cols.0);
+        lanes::haar_inv_interleaved(l1, h1, &mut self.cols.1);
         (&self.cols.0, &self.cols.1)
     }
 

@@ -43,11 +43,11 @@
 
 pub mod haar;
 pub mod haar2d;
+pub mod lanes;
 pub mod legall;
 pub mod multilevel;
 pub mod sample;
 pub mod subband;
-pub mod swar;
 
 pub use haar::{haar_fwd_pair, haar_inv_pair, HaarLifter};
 pub use haar2d::{

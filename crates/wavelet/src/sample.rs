@@ -6,19 +6,16 @@
 //! prefix sums that grow to `255 × W` (21 bits at `W = 2048`), and the
 //! bilateral-grid accumulators widen similarly (see `PAPERS.md`). The
 //! [`Sample`] trait abstracts the coefficient width so the lifting
-//! kernels, the NBits/BitMap column codec and the SWAR hot paths are
-//! written once and instantiated at both widths.
+//! kernels, the NBits/BitMap column codec and the lane-parallel hot paths
+//! are written once and instantiated at both widths.
 //!
 //! The trait is **sealed**: exactly two instances exist, `i16` (the
-//! paper's datapath, 4 lanes per `u64`) and `i32` (the wide datapath,
-//! 2 lanes per `u64`). Every lane constant is chosen so the generic SWAR
-//! formulas in [`crate::swar`] specialize, at `S = i16`, to bit-identical
-//! twins of the original fixed-width kernels — the conformance corpus
-//! pins that the i16 path did not move.
+//! paper's datapath) and `i32` (the wide datapath). The conformance
+//! corpus pins that the i16 path did not move when it went generic.
 
 mod sealed {
     /// Seals [`super::Sample`]: the codec layers are validated for exactly
-    /// these widths, and the SWAR lane algebra assumes `64 % BITS == 0`.
+    /// these widths.
     pub trait Sealed {}
     impl Sealed for i16 {}
     impl Sealed for i32 {}
@@ -27,9 +24,8 @@ mod sealed {
 /// A two's-complement coefficient word the datapath can carry.
 ///
 /// Exposes the width (`BITS`), widening conversions, wrapping/saturating
-/// lifting arithmetic, the sign-XOR magnitude the NBits scan is built on,
-/// and the SWAR lane metadata (`LANES` lanes of `LANE_BITS` bits per
-/// `u64`, with per-lane sign/low/one masks).
+/// lifting arithmetic, and the sign-XOR magnitude the NBits scan is built
+/// on.
 pub trait Sample:
     sealed::Sealed
     + Copy
@@ -44,18 +40,6 @@ pub trait Sample:
 {
     /// Two's-complement width of the sample (16 or 32).
     const BITS: u32;
-    /// SWAR lanes per `u64` word (`64 / BITS`).
-    const LANES: usize;
-    /// Bits per SWAR lane (equal to [`Sample::BITS`]).
-    const LANE_BITS: u32;
-    /// Per-lane sign-bit mask (bit `BITS − 1` of every lane).
-    const SIGN_MASK: u64;
-    /// Per-lane mask of every bit below the sign bit.
-    const LOW_MASK: u64;
-    /// The value 1 in every lane.
-    const LANE_ONE: u64;
-    /// All ones in lane 0, zero elsewhere (the lane-fold mask).
-    const LANE0_MASK: u64;
     /// Width of the NBits management field for this sample width. The
     /// field stores `nbits − 1`, so 4 bits cover widths 1..=16 and the
     /// wide instance needs 5 bits for widths 1..=32.
@@ -77,9 +61,9 @@ pub trait Sample:
     ///
     /// Panics (debug) when `v` does not fit the sample width.
     fn from_i64(v: i64) -> Self;
-    /// Wrapping addition (the SWAR lane semantics).
+    /// Wrapping addition (the lane-parallel kernels' semantics).
     fn wrapping_add(self, rhs: Self) -> Self;
-    /// Wrapping subtraction (the SWAR lane semantics).
+    /// Wrapping subtraction (the lane-parallel kernels' semantics).
     fn wrapping_sub(self, rhs: Self) -> Self;
     /// Saturating addition (the clamping datapath modes).
     fn saturating_add(self, rhs: Self) -> Self;
@@ -112,12 +96,6 @@ pub trait Sample:
 
 impl Sample for i16 {
     const BITS: u32 = 16;
-    const LANES: usize = 4;
-    const LANE_BITS: u32 = 16;
-    const SIGN_MASK: u64 = 0x8000_8000_8000_8000;
-    const LOW_MASK: u64 = 0x7fff_7fff_7fff_7fff;
-    const LANE_ONE: u64 = 0x0001_0001_0001_0001;
-    const LANE0_MASK: u64 = 0xffff;
     const NBITS_FIELD_BITS: u32 = 4;
     const ZERO: Self = 0;
     const MIN: Self = i16::MIN;
@@ -187,12 +165,6 @@ impl Sample for i16 {
 
 impl Sample for i32 {
     const BITS: u32 = 32;
-    const LANES: usize = 2;
-    const LANE_BITS: u32 = 32;
-    const SIGN_MASK: u64 = 0x8000_0000_8000_0000;
-    const LOW_MASK: u64 = 0x7fff_ffff_7fff_ffff;
-    const LANE_ONE: u64 = 0x0000_0001_0000_0001;
-    const LANE0_MASK: u64 = 0xffff_ffff;
     const NBITS_FIELD_BITS: u32 = 5;
     const ZERO: Self = 0;
     const MIN: Self = i32::MIN;
@@ -265,20 +237,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_constants_tile_the_word() {
+    fn nbits_field_covers_every_width() {
         fn check<S: Sample>() {
-            assert_eq!(S::LANES as u32 * S::LANE_BITS, 64);
-            assert_eq!(S::LANE_BITS, S::BITS);
-            // Sign + low masks partition every lane.
-            assert_eq!(S::SIGN_MASK & S::LOW_MASK, 0);
-            assert_eq!(S::SIGN_MASK | S::LOW_MASK, u64::MAX);
-            // The lane-one and lane-0 masks agree with the lane geometry.
-            let mut one = 0u64;
-            for lane in 0..S::LANES {
-                one |= 1u64 << (lane as u32 * S::LANE_BITS);
-            }
-            assert_eq!(S::LANE_ONE, one);
-            assert_eq!(S::LANE0_MASK, u64::MAX >> (64 - S::LANE_BITS));
             // The NBits field must index every width 1..=BITS as nbits−1.
             assert!(S::BITS <= 1 << S::NBITS_FIELD_BITS);
             assert!(S::BITS > 1 << (S::NBITS_FIELD_BITS - 1));
