@@ -26,7 +26,7 @@
 //! * [`telemetry`] — the observability substrate: metrics registry, span
 //!   timers, hierarchical span profiler, cycle-domain trace ring,
 //!   machine-readable run reports.
-//! * [`bench`] — the evaluation harness: paper table/figure regeneration
+//! * [`bench`](mod@bench) — the evaluation harness: paper table/figure regeneration
 //!   and the `swc bench` performance matrix with its regression gate.
 //! * [`serve`] — the serving layer: the typed job API (`JobRequest` /
 //!   `JobResponse` over a canonical length-prefixed wire format), the
