@@ -16,7 +16,7 @@
 //! coefficients through a packer — functionally identical storage cost and
 //! byte-exact against the [`crate::writer::BitWriter`] reference (see tests).
 
-use crate::nbits::{min_bits, min_bits_significant, min_bits_significant_sliced};
+use crate::nbits::{min_bits, min_bits_significant};
 use crate::{is_significant, Coeff};
 
 /// Words emitted by one packer clock (0, 1, or 2 full words).
@@ -225,44 +225,6 @@ pub fn pack_columns(
     }
 }
 
-/// Bit-sliced twin of [`pack_columns`]: per column the width comes from the
-/// OR-fold scan and the payload goes through a 128-bit concatenation
-/// register flushed eight bytes at a time. Byte- and bit-identical to
-/// [`pack_columns`] (pinned by tests).
-pub fn pack_columns_sliced(
-    columns: &[Vec<Coeff>],
-    threshold: Coeff,
-    bytes: &mut Vec<u8>,
-    bitmap: &mut Vec<bool>,
-) {
-    bytes.clear();
-    bitmap.clear();
-    let mut acc: u128 = 0;
-    let mut bits: u32 = 0;
-    for col in columns {
-        let nbits = min_bits_significant_sliced(col, threshold);
-        let mask = (1u128 << nbits) - 1;
-        for &c in col {
-            let sig = is_significant(c, threshold);
-            bitmap.push(sig);
-            if sig {
-                acc |= ((c as u16 as u128) & mask) << bits;
-                bits += nbits;
-                if bits >= 64 {
-                    bytes.extend_from_slice(&(acc as u64).to_le_bytes());
-                    acc >>= 64;
-                    bits -= 64;
-                }
-            }
-        }
-    }
-    while bits > 0 {
-        bytes.push((acc & 0xff) as u8);
-        acc >>= 8;
-        bits = bits.saturating_sub(8);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,26 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn sliced_pack_matches_register_model_bit_for_bit() {
-        let columns = vec![
-            vec![13, 12, -9, 7],
-            vec![0, 0, 3, -3],
-            vec![0, 0, 0, 0],
-            vec![255, -255, 1, 0],
-            vec![-510, 510, -1, 1],
-            (0..67).map(|k| ((k * 29) % 300 - 150) as Coeff).collect(),
-        ];
-        for t in [0, 1, 2, 4, 100] {
-            let (bytes, bitmap) = pack_columns(&columns, t);
-            let mut sb = Vec::new();
-            let mut sm = Vec::new();
-            pack_columns_sliced(&columns, t, &mut sb, &mut sm);
-            assert_eq!(sb, bytes, "threshold {t}");
-            assert_eq!(sm, bitmap, "threshold {t}");
-        }
-    }
-
-    #[test]
     fn two_frame_run_reuses_scratch_without_reallocation() {
         // Satellite: a second frame of the same geometry through warm scratch
         // buffers must perform zero reallocations.
@@ -421,15 +363,6 @@ mod tests {
         assert_eq!((bytes.clone(), bitmap.clone()), first, "frames must agree");
         assert_eq!(bytes.capacity(), bytes_cap, "byte scratch reallocated");
         assert_eq!(bitmap.capacity(), bitmap_cap, "bitmap scratch reallocated");
-
-        let mut sb = Vec::new();
-        let mut sm = Vec::new();
-        pack_columns_sliced(&frame, 0, &mut sb, &mut sm);
-        let (sb_cap, sm_cap) = (sb.capacity(), sm.capacity());
-        pack_columns_sliced(&frame, 0, &mut sb, &mut sm);
-        assert_eq!(sb.capacity(), sb_cap, "sliced byte scratch reallocated");
-        assert_eq!(sm.capacity(), sm_cap, "sliced bitmap scratch reallocated");
-        assert_eq!((sb, sm), first, "sliced packer must agree");
     }
 
     #[test]

@@ -725,7 +725,7 @@ impl Oracle for StatsConsistency {
     }
 }
 
-/// The sliced (SWAR) hot path is bit-identical to the permanent scalar
+/// The sliced (lane-parallel) hot path is bit-identical to the permanent scalar
 /// oracle path: same output pixels, same `FrameStats` down to the packed
 /// bit counts, same typed error — for every codec, threshold, policy,
 /// budget and fault seed. This is the conformance-level lockdown of the
